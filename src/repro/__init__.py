@@ -25,57 +25,44 @@ Profiling a verification (see ``docs/OBSERVABILITY.md``)::
     print(collector.span_totals())
 """
 
-from .core import (
-    CompositeState,
-    DataValue,
-    ExpansionResult,
-    Op,
-    ProtocolSpec,
-    PruningMode,
-    Rep,
-    SharingLevel,
-    VerificationReport,
-    explore,
-    verify,
-)
-from .engine import BatchReport, ResultCache, RunJournal, VerificationJob, run_batch
-from .lint import LintError, LintReport, lint_all, lint_spec
-from .liveness import LassoWitness, LivenessReport, analyze_liveness, replay_lasso
-from .obs import Collector, render_report, use_collector
-from .protocols import all_protocols, get_protocol, protocol_names
+from ._lazy import attach as _attach
 
 __version__ = "1.9.0"
 
-__all__ = [
-    "BatchReport",
-    "Collector",
-    "CompositeState",
-    "DataValue",
-    "ExpansionResult",
-    "LassoWitness",
-    "LintError",
-    "LintReport",
-    "LivenessReport",
-    "Op",
-    "ProtocolSpec",
-    "PruningMode",
-    "Rep",
-    "ResultCache",
-    "RunJournal",
-    "SharingLevel",
-    "VerificationJob",
-    "VerificationReport",
-    "__version__",
-    "all_protocols",
-    "analyze_liveness",
-    "explore",
-    "get_protocol",
-    "lint_all",
-    "lint_spec",
-    "protocol_names",
-    "render_report",
-    "replay_lasso",
-    "run_batch",
-    "use_collector",
-    "verify",
-]
+# Public names resolve on first use (PEP 562), so ``import repro`` does
+# not load the engine, lint, liveness or analysis layers up front.
+__getattr__, __dir__, __all__ = _attach(
+    __name__,
+    {
+        ".core": (
+            "CompositeState",
+            "DataValue",
+            "ExpansionResult",
+            "Op",
+            "ProtocolSpec",
+            "PruningMode",
+            "Rep",
+            "SharingLevel",
+            "VerificationReport",
+            "explore",
+            "verify",
+        ),
+        ".engine": (
+            "BatchReport",
+            "ResultCache",
+            "RunJournal",
+            "VerificationJob",
+            "run_batch",
+        ),
+        ".lint": ("LintError", "LintReport", "lint_all", "lint_spec"),
+        ".liveness": (
+            "LassoWitness",
+            "LivenessReport",
+            "analyze_liveness",
+            "replay_lasso",
+        ),
+        ".obs": ("Collector", "render_report", "use_collector"),
+        ".protocols": ("all_protocols", "get_protocol", "protocol_names"),
+    },
+)
+__all__.append("__version__")

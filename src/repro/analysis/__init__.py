@@ -1,39 +1,32 @@
 """Analysis and reporting: complexity model, protocol comparison, tables."""
 
-from .compare import ComparisonReport, DiagramShape, compare_protocols, diagram_shape
-from .fsm import LocalFsm, check_definition_1, local_fsm
-from .sweeps import TrafficPoint, metric_series, sweep_table, traffic_sweep
-from .complexity import (
-    GrowthFit,
-    fit_exponential_growth,
-    max_states,
-    visit_lower_bound,
-)
-from .reporting import (
-    essential_state_rows,
-    expansion_listing,
-    figure4_table,
-    format_table,
+from .._lazy import attach as _attach
+
+# Names resolve on first use (PEP 562): reading one table helper does
+# not load the simulator behind the traffic sweeps.
+__getattr__, __dir__, __all__ = _attach(
+    __name__,
+    {
+        ".compare": (
+            "ComparisonReport",
+            "DiagramShape",
+            "compare_protocols",
+            "diagram_shape",
+        ),
+        ".fsm": ("LocalFsm", "check_definition_1", "local_fsm"),
+        ".sweeps": ("TrafficPoint", "metric_series", "sweep_table", "traffic_sweep"),
+        ".complexity": (
+            "GrowthFit",
+            "fit_exponential_growth",
+            "max_states",
+            "visit_lower_bound",
+        ),
+        ".reporting": (
+            "essential_state_rows",
+            "expansion_listing",
+            "figure4_table",
+            "format_table",
+        ),
+    },
 )
 
-__all__ = [
-    "ComparisonReport",
-    "DiagramShape",
-    "GrowthFit",
-    "LocalFsm",
-    "check_definition_1",
-    "compare_protocols",
-    "diagram_shape",
-    "essential_state_rows",
-    "expansion_listing",
-    "figure4_table",
-    "fit_exponential_growth",
-    "format_table",
-    "local_fsm",
-    "TrafficPoint",
-    "max_states",
-    "metric_series",
-    "sweep_table",
-    "traffic_sweep",
-    "visit_lower_bound",
-]

@@ -17,8 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..core.essential import ExpansionResult
 from ..core.graph import build_graph
 
@@ -117,6 +115,8 @@ def compare_protocols(
     result_a: ExpansionResult, result_b: ExpansionResult
 ) -> ComparisonReport:
     """Compare the global transition diagrams of two protocols."""
+    import networkx as nx  # local: keeps networkx off the verify path
+
     graph_a = nx.DiGraph(build_graph(result_a))
     graph_b = nx.DiGraph(build_graph(result_b))
     iso = nx.is_isomorphic(graph_a, graph_b)

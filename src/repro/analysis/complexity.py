@@ -11,10 +11,9 @@ to confirm the measured blow-up really is exponential in ``n``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "max_states",
@@ -63,6 +62,9 @@ class GrowthFit:
 def fit_exponential_growth(ns: Sequence[int], counts: Sequence[int]) -> GrowthFit:
     """Fit ``log(count) = log(a) + n·log(base)`` by least squares.
 
+    Closed-form ordinary least squares on the log counts (slope
+    ``S_xy / S_xx`` around the means), so no numerical library is needed.
+
     Used to check the measured shape of the explicit-search blow-up
     (rather than its absolute values, which depend on the protocol).
     """
@@ -70,15 +72,21 @@ def fit_exponential_growth(ns: Sequence[int], counts: Sequence[int]) -> GrowthFi
         raise ValueError("need at least two (n, count) pairs")
     if any(c <= 0 for c in counts):
         raise ValueError("counts must be positive for a log fit")
-    x = np.asarray(ns, dtype=float)
-    y = np.log(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    x = [float(n) for n in ns]
+    y = [math.log(c) for c in counts]
+    mean_x = math.fsum(x) / len(x)
+    mean_y = math.fsum(y) / len(y)
+    s_xx = math.fsum((xi - mean_x) ** 2 for xi in x)
+    if s_xx == 0:
+        raise ValueError("need at least two distinct n values")
+    s_xy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
+    slope = s_xy / s_xx
+    intercept = mean_y - slope * mean_x
+    ss_res = math.fsum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+    ss_tot = math.fsum((yi - mean_y) ** 2 for yi in y)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return GrowthFit(
-        base=float(np.exp(slope)),
-        prefactor=float(np.exp(intercept)),
+        base=math.exp(slope),
+        prefactor=math.exp(intercept),
         r_squared=r_squared,
     )

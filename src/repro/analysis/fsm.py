@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.protocol import ProtocolSpec
 from ..core.reactions import Ctx
 from ..core.symbols import CountCase
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["LocalFsm", "local_fsm", "check_definition_1"]
 
@@ -37,10 +39,14 @@ class LocalFsm:
     @property
     def strongly_connected(self) -> bool:
         """Definition 1's requirement on the cache FSM."""
+        import networkx as nx
+
         return nx.is_strongly_connected(self.graph)
 
     def dead_states(self) -> frozenset[str]:
         """Declared states unreachable from the invalid state."""
+        import networkx as nx
+
         reachable = nx.descendants(self.graph, self.spec.invalid) | {
             self.spec.invalid
         }
@@ -72,6 +78,8 @@ def local_fsm(spec: ProtocolSpec) -> LocalFsm:
     Initiator edges are labelled ``<op>``; observer (coincident) edges
     are labelled ``snoop:<op>_<initiator-state>``.
     """
+    import networkx as nx  # local: keeps networkx off the verify path
+
     graph = nx.DiGraph()
     graph.add_nodes_from(spec.states)
 
@@ -113,6 +121,8 @@ def check_definition_1(spec: ProtocolSpec) -> list[str]:
             f"states unreachable from {spec.invalid}: {', '.join(sorted(dead))}"
         )
     if not fsm.strongly_connected:
+        import networkx as nx
+
         components = [
             sorted(c) for c in nx.strongly_connected_components(fsm.graph)
         ]

@@ -44,33 +44,33 @@ import signal
 import sys
 from typing import Sequence
 
-from .analysis.compare import compare_protocols
-from .analysis.reporting import expansion_listing, figure4_table, format_table
-from .core.essential import PruningMode, explore
-from .core.graph import to_dot
-from .analysis.fsm import check_definition_1
 from .core.protocol import ProtocolDefinitionError
-from .core.serialize import result_to_json
-from .core.verifier import verify
-from .enumeration.crossval import cross_validate
-from .enumeration.exhaustive import Equivalence, enumerate_space
 from .obs import EXPORT_EXTENSIONS, EXPORTERS
 from .protocols.dsl import DslError, load_protocol, parse_protocol
-from .protocols.perturb import criticality_profile
 from .protocols.mutations import (
     LIVENESS_MUTATIONS,
     MUTATIONS,
     get_mutant,
     mutants_for,
 )
+from .protocols.registry import all_protocols, protocol_names, resolve_specs
+
+# Each subcommand imports what it uses inside its handler, so a cold
+# ``repro verify`` never loads the engine, simulator, lint or analysis
+# layers (tests/test_import_surface.py holds this line).
 
 #: --mutant accepts keys from both catalogs (safety bugs and the
 #: safety-clean starvation bugs only liveness modes reject).
 _MUTANT_CHOICES = sorted({**MUTATIONS, **LIVENESS_MUTATIONS})
-from .protocols.registry import all_protocols, protocol_names, resolve_specs
-from .simulator.system import System
-from .simulator.traceio import load_trace, save_trace
-from .simulator.workloads import WORKLOADS, make_workload
+#: ``--workload`` choices, spelled out so building the parser does not
+#: import the simulator; a test pins them to
+#: ``repro.simulator.workloads.WORKLOADS``.
+_WORKLOAD_CHOICES = (
+    "hot-block",
+    "migratory",
+    "producer-consumer",
+    "uniform",
+)
 
 __all__ = [
     "main",
@@ -131,6 +131,9 @@ exit status:
 # Subcommand implementations
 # ----------------------------------------------------------------------
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .simulator.workloads import WORKLOADS
+
     rows = []
     for spec in all_protocols():
         rows.append(
@@ -150,6 +153,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .core.essential import PruningMode
+    from .core.verifier import verify
+
     status = EXIT_OK
     if args.spec_file:
         if args.preflight:
@@ -188,18 +194,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             print(report.render())
             if report.result.augmented:
+                from .analysis.reporting import figure4_table
+
                 print(figure4_table(report.result))
                 print()
         if args.trace:
+            from .analysis.reporting import expansion_listing
+            from .core.essential import explore
+
             traced = explore(spec, augmented=not args.structural, keep_trace=True)
             print(expansion_listing(traced))
             print()
         if args.dot:
+            from .core.graph import to_dot
+
             dot = to_dot(report.result)
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(dot + "\n")
             print(f"DOT diagram written to {args.dot}")
         if args.json:
+            from .core.serialize import result_to_json
+
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(result_to_json(report.result) + "\n")
             print(f"JSON result written to {args.json}")
@@ -689,6 +704,8 @@ def _backend_comparison(jobs: list) -> str:
     options.  Specs the kernel cannot lower show ``n/a`` kernel columns
     instead of silently timing the interpreter fallback twice.
     """
+    from .analysis.reporting import format_table
+    from .core.verifier import verify
     from .kernel import KernelUnsupportedError, compile_protocol
     from .obs import clock
 
@@ -736,6 +753,7 @@ def _backend_comparison(jobs: list) -> str:
 
 
 def _cmd_mutants(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
     from .engine import ResultCache, VerificationJob, run_batch
 
     jobs = []
@@ -785,6 +803,8 @@ def _cmd_mutants(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration.exhaustive import Equivalence, enumerate_space
+
     [spec] = resolve_specs(args.protocol)
     equivalence = Equivalence.COUNTING if args.counting else Equivalence.STRICT
     guard = None
@@ -828,6 +848,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
+    from .enumeration.crossval import cross_validate
+
     status = EXIT_OK
     for spec in resolve_specs(args.protocol):
         result = cross_validate(spec, ns=tuple(range(1, args.max_n + 1)))
@@ -838,6 +860,10 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator.system import System
+    from .simulator.traceio import load_trace, save_trace
+    from .simulator.workloads import make_workload
+
     [spec] = resolve_specs(args.protocol)
     if args.mutant:
         spec = get_mutant(spec, args.mutant)
@@ -862,6 +888,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis.compare import compare_protocols
+    from .core.essential import explore
+
     [spec_a] = resolve_specs(args.a)
     [spec_b] = resolve_specs(args.b)
     result_a = explore(spec_a)
@@ -886,6 +915,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fragility(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .protocols.perturb import criticality_profile
+
     for spec in resolve_specs(args.protocol):
         report = criticality_profile(spec, picks=args.picks, jobs=args.jobs)
         print(
@@ -904,6 +936,8 @@ def _cmd_fragility(args: argparse.Namespace) -> int:
 
 
 def _cmd_fsm(args: argparse.Namespace) -> int:
+    from .analysis.fsm import check_definition_1
+
     status = EXIT_OK
     for spec in resolve_specs(args.protocol):
         problems = check_definition_1(spec)
@@ -1296,7 +1330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the executable multiprocessor")
     p.add_argument("protocol")
-    p.add_argument("-w", "--workload", choices=sorted(WORKLOADS), default="hot-block")
+    p.add_argument("-w", "--workload", choices=_WORKLOAD_CHOICES, default="hot-block")
     p.add_argument("-p", "--processors", type=int, default=4)
     p.add_argument("-l", "--length", type=int, default=10000)
     p.add_argument("--sets", type=int, default=8)
@@ -1617,7 +1651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="traffic sweep across machine sizes")
     p.add_argument("protocol", help="protocol name or 'all'")
-    p.add_argument("-w", "--workload", choices=sorted(WORKLOADS), default="hot-block")
+    p.add_argument("-w", "--workload", choices=_WORKLOAD_CHOICES, default="hot-block")
     p.add_argument("-p", "--processors", type=int, nargs="+", default=[2, 4, 8])
     p.add_argument("-l", "--length", type=int, default=8000)
     p.add_argument("--seed", type=int, default=0)

@@ -6,94 +6,55 @@ symbolic state-space expansion to essential states, and data-consistency
 checking through context variables.
 """
 
-from .composite import CompositeState, Label, make_state, parse_class_spec
-from .covering import contains, is_essential_among, structurally_covers
-from .errors import (
-    ErrorKind,
-    ForbidMultiple,
-    ForbidState,
-    ForbidTogether,
-    StatePattern,
-    Violation,
-    Witness,
-)
-from .essential import (
-    Disposition,
-    ExpansionLimitError,
-    ExpansionResult,
-    ExpansionStats,
-    PruningMode,
-    TraceEntry,
-    explore,
-)
-from .expansion import SymbolicExpander, SymbolicTransition, TransitionLabel
-from .graph import ascii_diagram, build_graph, to_dot
-from .operators import Rep, aggregate, leq, remove_one
-from .protocol import ProtocolDefinitionError, ProtocolSpec
-from .serialize import result_to_dict, result_to_json, state_from_dict, state_to_dict
-from .reactions import (
-    INITIATOR,
-    Ctx,
-    LoadFrom,
-    MEMORY,
-    ObserverReaction,
-    Outcome,
-    from_cache,
-    stay,
-)
-from .symbols import CountCase, DataValue, Op, SharingLevel
-from .verifier import VerificationReport, verify
+from .._lazy import attach as _attach
 
-__all__ = [
-    "CompositeState",
-    "CountCase",
-    "Ctx",
-    "DataValue",
-    "Disposition",
-    "ErrorKind",
-    "ExpansionLimitError",
-    "ExpansionResult",
-    "ExpansionStats",
-    "ForbidMultiple",
-    "ForbidState",
-    "ForbidTogether",
-    "INITIATOR",
-    "Label",
-    "LoadFrom",
-    "MEMORY",
-    "ObserverReaction",
-    "Op",
-    "Outcome",
-    "ProtocolDefinitionError",
-    "ProtocolSpec",
-    "PruningMode",
-    "Rep",
-    "SharingLevel",
-    "StatePattern",
-    "SymbolicExpander",
-    "SymbolicTransition",
-    "TraceEntry",
-    "TransitionLabel",
-    "VerificationReport",
-    "Violation",
-    "Witness",
-    "aggregate",
-    "ascii_diagram",
-    "build_graph",
-    "contains",
-    "explore",
-    "from_cache",
-    "is_essential_among",
-    "leq",
-    "make_state",
-    "parse_class_spec",
-    "remove_one",
-    "result_to_dict",
-    "result_to_json",
-    "state_from_dict",
-    "state_to_dict",
-    "stay",
-    "structurally_covers",
-    "to_dot",
-    "verify",
-]
+# Names resolve on first use (PEP 562): the verify path never loads
+# the diagram or serialization modules it does not call.
+__getattr__, __dir__, __all__ = _attach(
+    __name__,
+    {
+        ".composite": ("CompositeState", "Label", "make_state", "parse_class_spec"),
+        ".covering": ("contains", "is_essential_among", "structurally_covers"),
+        ".errors": (
+            "ErrorKind",
+            "ForbidMultiple",
+            "ForbidState",
+            "ForbidTogether",
+            "StatePattern",
+            "Violation",
+            "Witness",
+        ),
+        ".essential": (
+            "Disposition",
+            "ExpansionLimitError",
+            "ExpansionResult",
+            "ExpansionStats",
+            "PruningMode",
+            "TraceEntry",
+            "explore",
+        ),
+        ".expansion": ("SymbolicExpander", "SymbolicTransition", "TransitionLabel"),
+        ".graph": ("ascii_diagram", "build_graph", "to_dot"),
+        ".operators": ("Rep", "aggregate", "leq", "remove_one"),
+        ".protocol": ("ProtocolDefinitionError", "ProtocolSpec"),
+        ".serialize": (
+            "result_to_dict",
+            "result_to_json",
+            "state_from_dict",
+            "state_to_dict",
+        ),
+        ".reactions": (
+            "INITIATOR",
+            "Ctx",
+            "LoadFrom",
+            "MEMORY",
+            "ObserverReaction",
+            "Outcome",
+            "from_cache",
+            "stay",
+        ),
+        ".symbols": ("CountCase", "DataValue", "Op", "SharingLevel"),
+        ".verifier": ("VerificationReport", "verify"),
+    },
+)
+

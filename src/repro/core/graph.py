@@ -7,9 +7,12 @@ deterministic ASCII adjacency listing for terminals and tests.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .essential import ExpansionResult
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["build_graph", "to_dot", "ascii_diagram"]
 
@@ -22,6 +25,8 @@ def build_graph(result: ExpansionResult) -> "nx.MultiDiGraph":
     ``state`` attribute and annotations as node attributes); edges carry
     the transition label (e.g. ``W_shared``).
     """
+    import networkx as nx  # local: keeps networkx off the verify path
+
     graph = nx.MultiDiGraph(
         protocol=result.spec.name,
         augmented=result.augmented,

@@ -41,39 +41,32 @@ The CLI front end is ``repro batch`` (see ``repro batch --help``), and
 ``repro mutants`` / the fragility sweep run on the same engine.
 """
 
-from .batch import BatchReport, run_batch
-from .cache import ResultCache, default_cache_dir
-from .fingerprint import ENGINE_VERSION, job_key, spec_fingerprint
-from .guard import Budget, Exhaustion, ExhaustionReason, Guard, current_rss_mb
-from .job import JobResult, JobStatus, VerificationJob, execute_job
-from .journal import JournalFollower, RunJournal
-from .resilience import BackoffPolicy, BatchCancelled, BreakerState, CircuitBreaker
-from .runner import ParallelRunner, SerialRunner, make_runner
+from .._lazy import attach as _attach
 
-__all__ = [
-    "ENGINE_VERSION",
-    "BackoffPolicy",
-    "BatchCancelled",
-    "BatchReport",
-    "BreakerState",
-    "Budget",
-    "CircuitBreaker",
-    "Exhaustion",
-    "ExhaustionReason",
-    "Guard",
-    "JobResult",
-    "JobStatus",
-    "JournalFollower",
-    "ParallelRunner",
-    "ResultCache",
-    "RunJournal",
-    "SerialRunner",
-    "VerificationJob",
-    "current_rss_mb",
-    "default_cache_dir",
-    "execute_job",
-    "job_key",
-    "make_runner",
-    "run_batch",
-    "spec_fingerprint",
-]
+# Names resolve on first use (PEP 562): a job or the cache can be used
+# without loading the batch runner and its multiprocessing pool.
+__getattr__, __dir__, __all__ = _attach(
+    __name__,
+    {
+        ".batch": ("BatchReport", "run_batch"),
+        ".cache": ("ResultCache", "default_cache_dir"),
+        ".fingerprint": ("ENGINE_VERSION", "job_key", "spec_fingerprint"),
+        ".guard": (
+            "Budget",
+            "Exhaustion",
+            "ExhaustionReason",
+            "Guard",
+            "current_rss_mb",
+        ),
+        ".job": ("JobResult", "JobStatus", "VerificationJob", "execute_job"),
+        ".journal": ("JournalFollower", "RunJournal"),
+        ".resilience": (
+            "BackoffPolicy",
+            "BatchCancelled",
+            "BreakerState",
+            "CircuitBreaker",
+        ),
+        ".runner": ("ParallelRunner", "SerialRunner", "make_runner"),
+    },
+)
+

@@ -30,7 +30,6 @@ from typing import Any, Sequence
 from ..obs import NOOP_SPAN
 from ..obs import active as _active_collector
 from ..obs import clock
-from ..analysis.reporting import batch_summary_table, lint_table
 from .cache import ResultCache
 from .fingerprint import ENGINE_VERSION, spec_fingerprint
 from .job import JobResult, JobStatus, VerificationJob
@@ -149,6 +148,8 @@ class BatchReport:
 
     def summary_table(self) -> str:
         """The end-of-run summary table."""
+        from ..analysis.reporting import batch_summary_table
+
         return batch_summary_table(self.rows())
 
     def lint_rows(self) -> list[list[str]]:
@@ -176,6 +177,8 @@ class BatchReport:
         rows = self.lint_rows()
         if not rows:
             return ""
+        from ..analysis.reporting import lint_table
+
         return lint_table(rows)
 
     def counts_line(self) -> str:

@@ -107,7 +107,9 @@ class VerificationJob:
     starvation analysis after the expansion and report starvable
     requests as ``liveness-violation`` results.  It is part of the
     cache key -- the payloads differ (the ``liveness`` key) even
-    though the expansion itself is identical.
+    though the expansion itself is identical.  ``"liveness"`` is
+    accepted as a spelling of ``"both"`` and stored as ``"both"``, so
+    the two share one cache entry.
     """
 
     protocol: str | None = None
@@ -149,6 +151,10 @@ class VerificationJob:
                 f"mode must be 'safety', 'liveness' or 'both', "
                 f"not {self.mode!r}"
             )
+        if self.mode == "liveness":
+            # An input spelling of "both" (the same analyses run):
+            # folded here, before any cache key or digest sees it.
+            object.__setattr__(self, "mode", "both")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 

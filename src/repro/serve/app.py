@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import importlib
 import json
 import re
 import signal
@@ -76,6 +77,20 @@ _CACHE_RE = re.compile(r"^/cache/([0-9a-f]{8,64})$")
 
 #: SSE tail-follow poll interval (seconds) while a campaign is live.
 _POLL = 0.05
+
+#: Layers the request path imports on first use: inline-DSL parsing and
+#: the mutant matrix, lint preflight, IR lowering, the compiled kernel
+#: and liveness.  :meth:`ServeApp.start` imports them before the socket
+#: binds, so no campaign pays a first-use import.
+_REQUEST_PATH_MODULES = (
+    "repro.protocols.dsl",
+    "repro.protocols.mutations",
+    "repro.protocols.registry",
+    "repro.lint",
+    "repro.ir",
+    "repro.kernel",
+    "repro.liveness",
+)
 
 
 class ServeApp:
@@ -141,6 +156,8 @@ class ServeApp:
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0):
         """Recover persisted campaigns, start workers, bind the socket."""
+        for module in _REQUEST_PATH_MODULES:
+            importlib.import_module(module)
         await self.scheduler.start()
         await self.recover()
         return await asyncio.start_server(self._handle_connection, host, port)

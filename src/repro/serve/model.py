@@ -86,6 +86,10 @@ class CampaignRequest:
                 f"mode must be 'safety', 'liveness' or 'both', "
                 f"not {self.mode!r}"
             )
+        if self.mode == "liveness":
+            # An input spelling of "both" (the same analyses run):
+            # folded here, before any cache key or digest sees it.
+            object.__setattr__(self, "mode", "both")
         if not self.tenant or not isinstance(self.tenant, str):
             raise ValueError("tenant must be a non-empty string")
         if self.deadline is not None and self.deadline <= 0:

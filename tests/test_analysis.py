@@ -54,6 +54,39 @@ class TestComplexityFormulas:
         with pytest.raises(ValueError):
             fit_exponential_growth([1, 2], [5, 0])
 
+    # (base, prefactor, r_squared) as numpy.polyfit computed them before
+    # the fit became closed-form least squares in ``math``.
+    @pytest.mark.parametrize(
+        "ns, counts, pinned",
+        [
+            (
+                [1, 2, 3, 4, 5],
+                [3 * 2**n for n in (1, 2, 3, 4, 5)],
+                (2.0, 3.000000000000001, 1.0),
+            ),
+            (
+                [1, 2, 3, 4],
+                [23, 23, 23, 23],
+                (0.9999999999999999, 23.00000000000001, 1.0),
+            ),
+            # E4: Illinois strict-enumeration visits for n = 1..7
+            # (benchmarks/bench_state_space_growth.py).
+            (
+                [1, 2, 3, 4, 5, 6, 7],
+                [8, 40, 102, 232, 510, 1116, 2450],
+                (2.480766871719949, 5.137447684752115, 0.9822679411920221),
+            ),
+        ],
+    )
+    def test_fit_matches_pinned_polyfit(self, ns, counts, pinned):
+        fit = fit_exponential_growth(ns, counts)
+        for got, want in zip((fit.base, fit.prefactor, fit.r_squared), pinned):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_fit_needs_two_distinct_ns(self):
+        with pytest.raises(ValueError):
+            fit_exponential_growth([3, 3], [5, 9])
+
 
 class TestFormatTable:
     def test_alignment(self):

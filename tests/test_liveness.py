@@ -215,6 +215,37 @@ def test_job_key_separates_modes():
     assert job_key(fp, safety) != job_key(fp, liveness)
 
 
+def test_liveness_mode_is_folded_into_both():
+    from repro.serve.model import CampaignRequest, campaign_id
+
+    assert VerificationJob(protocol="msi", mode="liveness").mode == "both"
+    fp = spec_fingerprint(get_protocol("msi"))
+    assert job_key(fp, VerificationJob(protocol="msi", mode="liveness")) == job_key(
+        fp, VerificationJob(protocol="msi", mode="both")
+    )
+    live = CampaignRequest.from_dict({"protocols": ["msi"], "mode": "liveness"})
+    both = CampaignRequest.from_dict({"protocols": ["msi"], "mode": "both"})
+    assert live == both and live.mode == "both"
+    assert campaign_id(1, live) == campaign_id(1, both)
+
+
+def test_liveness_job_after_both_job_is_a_cache_hit(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    jobs = [
+        VerificationJob(protocol="lock-msi"),
+        VerificationJob(protocol="lock-msi", mutant="drop-release"),
+    ]
+    both = run_batch(jobs, mode="both", cache=cache)
+    assert not any(r.cached for r in both.results)
+    live = run_batch(jobs, mode="liveness", cache=cache)
+    assert all(r.cached for r in live.results)
+    def payloads(report):
+        return [json.dumps(r.payload, sort_keys=True) for r in report.results]
+
+    assert payloads(live) == payloads(both)
+    assert live.results[1].status == JobStatus.LIVENESS_VIOLATION
+
+
 def test_batch_mode_both_zoo_is_live_and_cacheable(tmp_path):
     jobs = [VerificationJob(protocol=name) for name in protocol_names()]
     cache = ResultCache(tmp_path / "cache")
