@@ -51,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # here, never constructed.
     from ..engine.guard import Exhaustion, Guard
     from ..liveness.model import LivenessReport
+    from .relation import EdgeRelation
 
 __all__ = [
     "PruningMode",
@@ -60,7 +61,7 @@ __all__ = [
     "ExpansionResult",
     "ExpansionLimitError",
     "explore",
-    "essential_home",
+    "HomeIndex",
 ]
 
 
@@ -158,6 +159,12 @@ class ExpansionResult:
     #: (:func:`repro.liveness.analyze_liveness`); ``None`` when the
     #: verification ran in safety-only mode.
     liveness: "LivenessReport | None" = None
+    #: Liveness edge relation supplied by the backend that expanded
+    #: this result (:mod:`repro.core.relation`); ``None`` on partial or
+    #: early-stopped runs, where the essential set is not closed.
+    relation: "EdgeRelation | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -440,13 +447,19 @@ def explore(
         if coll is not None:
             edges_started = coll.now()
         edges: dict[tuple[CompositeState, str, CompositeState], SymbolicTransition] = {}
+        relation = None
         if not stop and exhausted is None:
+            homes = HomeIndex(essential, pruning)
             for source in essential:
                 for transition in expander.successors(source):
-                    home = essential_home(transition.target, essential, pruning)
+                    home = homes(transition.target)
                     key = (source, str(transition.label), home)
                     if key not in edges:
                         edges[key] = SymbolicTransition(source, transition.label, home)
+            # Imported here: the relation module builds on this one.
+            from .relation import InterpRelation
+
+            relation = InterpRelation(spec, augmented, homes, initial)
         if coll is not None:
             coll.add_span("expand.edges", edges_started, transitions=len(edges))
     finally:
@@ -482,31 +495,68 @@ def explore(
         partial=exhausted is not None,
         exhausted=exhausted,
         frontier=tuple(working) if exhausted is not None else (),
+        relation=relation,
     )
 
 
-def essential_home(
-    state: CompositeState,
-    essential: Sequence[CompositeState],
-    pruning: PruningMode,
-) -> CompositeState:
-    """The essential state containing *state* (itself if listed).
+class HomeIndex:
+    """Per-run containment index from states to their essential homes.
 
-    Public because the liveness analysis (:mod:`repro.liveness`) uses
-    the same covering map to close its product graph over the essential
-    set.
+    The home of a state is the first essential state, in essential
+    order, that contains it (itself when listed).  Definition 9 requires
+    equal sharing and equal ``mdata`` for containment, so candidates are
+    bucketed by that pair, in essential order inside each bucket: only
+    same-bucket candidates are ever probed, and the first match is the
+    linear scan's.  Answers are memoized per target, so the explorers'
+    final edge passes and the liveness relation resolve each distinct
+    successor once per run.
+
+    ``key`` and ``contains`` default to the interpreter's state
+    annotations and :func:`~repro.core.covering.contains`; the compiled
+    kernel passes its own over interned ids.
     """
-    if pruning is PruningMode.DUPLICATES:
-        for candidate in essential:
-            if candidate == state:
+
+    def __init__(
+        self,
+        essential: Sequence,
+        pruning: PruningMode,
+        *,
+        key: Callable = lambda state: (state.sharing, state.mdata),
+        contains: Callable = contains,
+        render: Callable = str,
+    ) -> None:
+        self._exact = pruning is PruningMode.DUPLICATES
+        self._key = key
+        self._contains = contains
+        self._render = render
+        buckets: dict = {}
+        for state in essential:
+            buckets.setdefault(key(state), []).append(state)
+        self._buckets = buckets
+        self._memo: dict = {}
+
+    def __call__(self, state):
+        """The essential home of *state* (memoized)."""
+        home = self._memo.get(state)
+        if home is None:
+            home = self._memo[state] = self._find(state)
+        return home
+
+    def _find(self, state):
+        candidates = self._buckets.get(self._key(state), ())
+        if self._exact:
+            for candidate in candidates:
+                if candidate == state:
+                    return candidate
+            raise AssertionError(
+                f"state {self._render(state)} not found among visited "
+                "states (duplicates mode)"
+            )
+        for candidate in candidates:
+            if self._contains(state, candidate):
                 return candidate
         raise AssertionError(
-            f"state {state} not found among visited states (duplicates mode)"
+            f"successor {self._render(state)} of an essential state is "
+            "contained in no essential state; the pruning invariant is broken"
         )
-    for candidate in essential:
-        if contains(state, candidate):
-            return candidate
-    raise AssertionError(
-        f"successor {state} of an essential state is contained in no "
-        "essential state; the pruning invariant is broken"
-    )
+

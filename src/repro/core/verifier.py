@@ -242,9 +242,8 @@ def verify(
     )
     if mode != "safety":
         # Imported lazily: the liveness pass lives above the core
-        # package.  It is backend-agnostic -- it consumes the decoded
-        # ExpansionResult, so interpreter and kernel runs get the same
-        # verdict by construction.
+        # package.  It walks the edge relation the backend attached to
+        # the result; kerneldiff holds the two providers to parity.
         from ..liveness import analyze_liveness
 
         result.liveness = analyze_liveness(result)

@@ -190,7 +190,8 @@ class CompiledProtocol:
     """One :class:`ProtocolIR` compiled into packed integer form.
 
     Holds the decision tables plus four memo layers (intern table,
-    containment lattice, per-state violations, per-state successors).
+    containment lattice, per-state violations, per-state successors
+    with their liveness facts).
     All memo layers are keyed by interned ids, and ids are only
     meaningful within one instance -- which is itself keyed by the IR
     fingerprint in :func:`compile_protocol`, so states of different
@@ -322,6 +323,11 @@ class CompiledProtocol:
         self.containment_misses = 0
         self._violations: dict[int, tuple[Violation, ...]] = {}
         self._succ: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        #: Liveness side memo, filled beside ``_succ``: per source id,
+        #: ``(stall cells, serve cells, progress)`` with cells
+        #: ``(initiator_sid, opid)`` and progress entries
+        #: ``(opid, initiator_sid, moves, target ids)``.
+        self._live: dict[int, tuple] = {}
 
         # Concrete-side memo layers.
         self._delta: dict[int, tuple] = {}
@@ -608,6 +614,17 @@ class CompiledProtocol:
             for obs, nxt, updated in action.observers:
                 obs_next[obs] = nxt
                 obs_upd[obs] = updated
+            # The interpreter's rendering of the observer map (every
+            # listed observer, identity moves included): the liveness
+            # relation's edge key.
+            moves = tuple(
+                sorted(
+                    {
+                        states[obs]: states[obs_next[obs]]
+                        for obs, _nxt, _upd in action.observers
+                    }.items()
+                )
+            )
             return (
                 0,
                 action.next_state,
@@ -619,6 +636,7 @@ class CompiledProtocol:
                 action.write_through,
                 tuple(obs_next),
                 tuple(obs_upd),
+                moves,
             )
         present = sorted(states[s] for s in range(self._S) if mask >> s & 1)
         return (
@@ -648,13 +666,29 @@ class CompiledProtocol:
         cached = self._succ.get(sid)
         if cached is not None:
             return cached, 0
-        entries, scenarios = self._compute_successors(sid)
+        entries, scenarios, live = self._compute_successors(sid)
         self._succ[sid] = entries
+        self._live[sid] = live
         return entries, scenarios
+
+    def liveness_facts(self, sid: int) -> tuple:
+        """The reaction facts recorded while expanding *sid*.
+
+        ``(stalls, serves, progress)``: the ``(initiator_sid, opid)``
+        cells some scenario refuses / completes, and one
+        ``(opid, initiator_sid, moves, targets)`` entry per distinct
+        non-stalled reaction, where ``moves`` is the interpreter's
+        sorted ``(observer, next)`` rendering and ``targets`` are
+        interned successor ids in emission order.  Filled by the same
+        call that fills the successor memo, so every expanded id has
+        one.
+        """
+        self.successors(sid)
+        return self._live[sid]
 
     def _compute_successors(
         self, src_id: int
-    ) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    ) -> tuple[tuple[tuple[int, int, int], ...], int, tuple]:
         classes, shc, md = self._keys[src_id]
         aug = md != 0
         inv_rank = self._inv_rank
@@ -664,6 +698,9 @@ class CompiledProtocol:
         applm = self._applm
         scenarios = 0
         results: dict[tuple[int, int, int], None] = {}
+        stalls: set[tuple[int, int]] = set()
+        serves: set[tuple[int, int]] = set()
+        progress: dict[tuple, dict[int, None]] = {}
 
         for idx, cls in enumerate(classes):
             lcode = cls >> 2
@@ -722,15 +759,26 @@ class CompiledProtocol:
                     if tag == 2:
                         raise entry[1](entry[2])
                     if tag == 1:
+                        stalls.add((init_sid, opid))
                         key = (opid, init_sid, src_id)
                         if key not in results:
                             results[key] = None
                         continue
+                    serves.add((init_sid, opid))
+                    pkey = (opid, init_sid, entry[10])
+                    sink = progress.get(pkey)
+                    if sink is None:
+                        sink = progress[pkey] = {}
                     self._emit(
-                        results, src_id, opid, init_sid, init_d,
+                        results, sink, src_id, opid, init_sid, init_d,
                         entry, env, caselist, aug, md,
                     )
-        return tuple(results), scenarios
+        live = (
+            frozenset(stalls),
+            frozenset(serves),
+            tuple(key + (tuple(sink),) for key, sink in progress.items()),
+        )
+        return tuple(results), scenarios, live
 
     def _present_values(
         self, env: list[int], caselist: list[int], sym_sid: int
@@ -755,6 +803,7 @@ class CompiledProtocol:
     def _emit(
         self,
         results: dict[tuple[int, int, int], None],
+        sink: dict[int, None],
         src_id: int,
         opid: int,
         init_sid: int,
@@ -775,7 +824,7 @@ class CompiledProtocol:
         """
         (
             _tag, next_sid, becomes_invalid, load_kind, load_sid,
-            wb_kind, wb_sid, write_through, obs_next, obs_upd,
+            wb_kind, wb_sid, write_through, obs_next, obs_upd, _moves,
         ) = entry
         store = self._is_store[opid]
         inv = self._inv
@@ -907,6 +956,7 @@ class CompiledProtocol:
                     sorted((lcode << 2) | rep for lcode, rep in merged.items())
                 )
                 target_id = self.intern((target_classes, sh2, mdata2))
+                sink[target_id] = None
                 key = (opid, init_sid, target_id)
                 if key not in results:
                     results[key] = None
@@ -950,7 +1000,7 @@ class CompiledProtocol:
             return entry  # stall (1,) or error (2, exc, msg) pass through
         (
             _tag, next_sid, becomes_invalid, load_kind, load_sid,
-            wb_kind, wb_sid, write_through, obs_next, obs_upd,
+            wb_kind, wb_sid, write_through, obs_next, obs_upd, _moves,
         ) = entry
         store = self._is_store[opid]
         d_actor = cell & 3

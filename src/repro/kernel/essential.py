@@ -20,11 +20,14 @@ from ..core.essential import (
     ExpansionLimitError,
     ExpansionResult,
     ExpansionStats,
+    HomeIndex,
     PruningMode,
     TraceEntry,
 )
 from ..core.expansion import SymbolicTransition
 from ..core.protocol import ProtocolSpec
+from ..core.relation import EdgeRelation, Facts, ProgressEdge
+from ..core.symbols import Op
 from ..obs import active as _active_collector
 from ..obs import clock
 from .compile import CompiledProtocol, compile_protocol
@@ -32,7 +35,7 @@ from .compile import CompiledProtocol, compile_protocol
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.guard import Exhaustion, Guard
 
-__all__ = ["explore"]
+__all__ = ["explore", "KernelRelation"]
 
 
 def explore(
@@ -206,13 +209,13 @@ def explore(
         # on partial runs (the pruning invariant only holds at fixpoint).
         # The successor memo makes this pass pure lookups.
         edges: dict[tuple[int, str, int], SymbolicTransition] = {}
+        relation = None
         if not stop and exhausted is None:
+            homes = _home_index(cp, essential_ids, pruning)
             for source in essential_ids:
                 source_entries, _ = cp.successors(source)
                 for opid, init_sid, target in source_entries:
-                    home = _essential_home_id(
-                        cp, target, essential_ids, pruning
-                    )
+                    home = homes(target)
                     key = (source, cp.label_str(opid, init_sid), home)
                     if key not in edges:
                         edges[key] = SymbolicTransition(
@@ -220,6 +223,9 @@ def explore(
                             cp.transition_label(opid, init_sid),
                             decoded(home),
                         )
+            relation = KernelRelation(
+                spec, augmented, cp, essential_ids, homes, init_id
+            )
     finally:
         if coll is not None:
             root_span.__exit__(None, None, None)
@@ -262,31 +268,82 @@ def explore(
             if exhausted is not None
             else ()
         ),
+        relation=relation,
     )
 
 
-def _essential_home_id(
-    cp: CompiledProtocol,
-    state_id: int,
-    essential_ids: tuple[int, ...],
-    pruning: PruningMode,
-) -> int:
-    """The essential id containing *state_id* (itself if listed).
-
+def _home_index(
+    cp: CompiledProtocol, essential_ids: tuple[int, ...], pruning: PruningMode
+) -> HomeIndex:
+    """:class:`HomeIndex` over interned ids: buckets keyed by the packed
+    ``(sharing, mdata)`` codes, containment from the id-pair memo.
     Interned ids make value equality id equality, so the duplicates
-    branch is a membership test.
-    """
-    if pruning is PruningMode.DUPLICATES:
-        if state_id in essential_ids:
-            return state_id
-        raise AssertionError(
-            f"state {cp.decoded(state_id)} not found among visited states "
-            "(duplicates mode)"
-        )
-    for candidate in essential_ids:
-        if cp.contains_ids(state_id, candidate):
-            return candidate
-    raise AssertionError(
-        f"successor {cp.decoded(state_id)} of an essential state is "
-        "contained in no essential state; the pruning invariant is broken"
+    branch compares ids."""
+    keys = cp._keys
+    return HomeIndex(
+        essential_ids,
+        pruning,
+        key=lambda sid: keys[sid][1:],
+        contains=cp.contains_ids,
+        render=cp.decoded,
     )
+
+
+class KernelRelation(EdgeRelation):
+    """The liveness relation read from the kernel's successor memo.
+
+    Nothing is computed until the liveness pass asks: each essential
+    state's facts come from :meth:`CompiledProtocol.liveness_facts`
+    (recorded while the expansion filled the successor memo) and the
+    home ids the expansion's own edge pass resolved, so the pass calls
+    neither the interpreter's reaction scan nor its ``contains``.
+    """
+
+    provider = "kernel"
+
+    def __init__(
+        self,
+        spec: ProtocolSpec,
+        augmented: bool,
+        cp: CompiledProtocol,
+        essential_ids: tuple[int, ...],
+        homes: HomeIndex,
+        init_id: int,
+    ) -> None:
+        super().__init__(spec, augmented)
+        self._cp = cp
+        self._essential_ids = essential_ids
+        self._homes = homes
+        self._init_id = init_id
+        self._ids: dict[CompositeState, int] = {}
+        self._pretty: dict[int, str] = {}
+
+    @property
+    def start(self) -> CompositeState:
+        return self._cp.decoded(self._homes(self._init_id))
+
+    def _scan(self, state: CompositeState) -> Facts:
+        cp = self._cp
+        homes = self._homes
+        if not self._ids:
+            self._ids = {cp.decoded(sid): sid for sid in self._essential_ids}
+        stalls, serves, progress = cp.liveness_facts(self._ids[state])
+        keyed: dict[tuple[str, int, tuple], None] = {}
+        for opid, init_sid, moves, targets in progress:
+            label = cp.label_str(opid, init_sid)
+            for target in targets:
+                keyed[(label, homes(target), moves)] = None
+        pretty = self._pretty
+        for _label, home, _moves in keyed:
+            if home not in pretty:
+                pretty[home] = cp.decoded(home).pretty()
+        ordered = sorted(keyed, key=lambda k: (k[0], pretty[k[1]], k[2]))
+        edges = tuple(
+            ProgressEdge(label, cp.decoded(home), moves)
+            for label, home, moves in ordered
+        )
+        return edges, self._cells(stalls), self._cells(serves)
+
+    def _cells(self, cells: frozenset) -> frozenset:
+        states, ops = self._cp.ir.states, self._cp.ir.ops
+        return frozenset((states[sid], Op(ops[opid])) for sid, opid in cells)

@@ -1,18 +1,20 @@
 """Starvation analysis over the essential-state graph.
 
 The safety verifier proves that no *reachable* state is erroneous; this
-pass proves that no *pending request* can be refused forever.  It runs
-as a post-pass over a completed :class:`~repro.core.essential.
-ExpansionResult` -- interpreter- or kernel-produced, the decoded result
-is identical, which is what gives the two backends liveness parity by
-construction.
+pass proves that no *pending request* can be refused forever.  It is a
+pure graph pass over the edge relation
+(:class:`~repro.core.relation.EdgeRelation`) that the backend attached
+to a completed :class:`~repro.core.essential.ExpansionResult`: the
+interpreter's relation re-derives reactions through the reaction
+semantics, the kernel's reads them from its successor memo, and this
+module only walks whichever it is given.
 
 The model is a product automaton.  A node pairs an essential state
 ``S`` with the FSM symbol ``q`` of one distinguished cache -- the
 *blocked* cache, which issued an operation ``o`` that stalled and keeps
 retrying it.  Edges are the global transitions other initiators can
 take (closed over the essential set through the ``contains`` covering,
-:func:`~repro.core.essential.essential_home`); along an edge the
+:class:`~repro.core.essential.HomeIndex`); along an edge the
 blocked cache evolves as an observer, ``q -> outcome.observer_for(q)``.
 At each node the protocol's reaction table classifies the pending
 request:
@@ -38,12 +40,12 @@ content* -- the backends and worklist schedules cannot leak in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 
 from ..core.composite import CompositeState
 from ..core.errors import ErrorKind, Violation
-from ..core.essential import ExpansionResult, essential_home
-from ..core.expansion import SymbolicExpander
+from ..core.essential import ExpansionResult
+from ..core.relation import EdgeRelation
 from ..core.symbols import Op
 from ..obs import active as _active_collector
 from .model import LassoStep, LassoWitness, LivenessReport, retry_label
@@ -51,143 +53,22 @@ from .model import LassoStep, LassoWitness, LivenessReport, retry_label
 __all__ = ["analyze_liveness"]
 
 
-@dataclass(frozen=True)
-class _Edge:
-    """One progress edge of the product graph (blocked cache observing)."""
-
-    label: str
-    target: CompositeState
-    #: Observer moves of the underlying outcome: sorted (state, next).
-    moves: tuple[tuple[str, str], ...]
-
-    def observer_next(self, symbol: str) -> str:
-        """Where a blocked cache in *symbol* lands along this edge."""
-        for state, nxt in self.moves:
-            if state == symbol:
-                return nxt
-        return symbol
-
-
-class _Facts:
-    """Cached per-state reaction facts over one expansion result."""
-
-    def __init__(self, result: ExpansionResult) -> None:
-        self.spec = result.spec
-        self.expander = SymbolicExpander(
-            result.spec, augmented=result.augmented
-        )
-        self.essential = result.essential
-        self.pruning = result.pruning
-        self._base: dict[
-            CompositeState,
-            tuple[tuple[_Edge, ...], set[tuple[str, Op]], set[tuple[str, Op]]],
-        ] = {}
-        self._posed: dict[tuple[CompositeState, str, Op], tuple[bool, bool]] = {}
-
-    # ------------------------------------------------------------------
-    def _scan(
-        self, state: CompositeState
-    ) -> tuple[tuple[_Edge, ...], set[tuple[str, Op]], set[tuple[str, Op]]]:
-        cached = self._base.get(state)
-        if cached is not None:
-            return cached
-        stalls: set[tuple[str, Op]] = set()
-        serves: set[tuple[str, Op]] = set()
-        edges: dict[tuple[str, CompositeState, tuple], _Edge] = {}
-        for event in self.expander.reaction_events(state):
-            cell = (event.initiator, event.op)
-            if event.outcome.stalled:
-                stalls.add(cell)
-                continue  # a stalled step changes nothing: no edge
-            serves.add(cell)
-            moves = tuple(
-                sorted(
-                    (obs, reaction.next_state)
-                    for obs, reaction in event.outcome.observers.items()
-                )
-            )
-            label = str(event.label)
-            for target in event.targets:
-                home = essential_home(target, self.essential, self.pruning)
-                key = (label, home, moves)
-                if key not in edges:
-                    edges[key] = _Edge(label, home, moves)
-        ordered = tuple(
-            sorted(
-                edges.values(),
-                key=lambda e: (e.label, e.target.pretty(), e.moves),
-            )
-        )
-        facts = (ordered, stalls, serves)
-        self._base[state] = facts
-        return facts
-
-    def edges(self, state: CompositeState) -> tuple[_Edge, ...]:
-        """Outgoing progress edges of *state*, in deterministic order."""
-        return self._scan(state)[0]
-
-    def request(
-        self, state: CompositeState, symbol: str, op: Op
-    ) -> tuple[bool, bool]:
-        """``(can_stall, can_serve)`` for a pending ``op`` by *symbol*.
-
-        A request neither stallable nor servable is *moot*: it cannot
-        even be posed at this node (operation inapplicable, symbol no
-        longer realizable, no consistent scenario).
-        """
-        _, stalls, serves = self._scan(state)
-        cell = (symbol, op)
-        if any(label.symbol == symbol for label, _rep in state.classes):
-            return cell in stalls, cell in serves
-        key = (state, symbol, op)
-        cached = self._posed.get(key)
-        if cached is not None:
-            return cached
-        answer = self._offclass_request(state, symbol, op)
-        self._posed[key] = answer
-        return answer
-
-    def _offclass_request(
-        self, state: CompositeState, symbol: str, op: Op
-    ) -> tuple[bool, bool]:
-        """Stall/serve classification when *symbol* labels no class.
-
-        The blocked cache's symbol can be merged away by covering; it
-        is then re-posed against the whole state as environment.  An
-        unrealizable symbol (the state admits no such cache and it is
-        not the ever-available invalid state) is moot.
-        """
-        if not self.spec.applicable(symbol, op):
-            return False, False
-        if symbol != self.spec.invalid:
-            _lo, hi = state.symbol_interval(symbol)
-            if hi == 0:
-                return False, False
-        can_stall = can_serve = False
-        for ctx in self.expander.observation_contexts(state, symbol):
-            if self.spec.react(symbol, op, ctx).stalled:
-                can_stall = True
-            else:
-                can_serve = True
-        return can_stall, can_serve
-
-
 _Node = tuple[CompositeState, str]
 
 
 def _resolvable(
-    facts: _Facts, start: _Node, op: Op
+    relation: EdgeRelation, start: _Node, op: Op
 ) -> tuple[bool, set[_Node]]:
     """Can the pending request reach a serving (or moot) node?"""
     seen: set[_Node] = {start}
-    queue: list[_Node] = [start]
+    queue: deque[_Node] = deque([start])
     while queue:
-        state, symbol = queue.pop(0)
-        can_stall, can_serve = facts.request(state, symbol, op)
+        state, symbol = queue.popleft()
+        can_stall, can_serve = relation.request(state, symbol, op)
         if can_serve or not can_stall:
             # Serving, or moot (neither stall nor serve): resolved.
             return True, seen
-        for edge in facts.edges(state):
+        for edge in relation.edges(state):
             node = (edge.target, edge.observer_next(symbol))
             if node not in seen:
                 seen.add(node)
@@ -196,7 +77,7 @@ def _resolvable(
 
 
 def _extract_lasso(
-    facts: _Facts, start: _Node, op: Op
+    relation: EdgeRelation, start: _Node, op: Op
 ) -> tuple[ErrorKind, list[tuple[_Node, str]], list[tuple[_Node, str]]]:
     """Deterministic walk from *start* until a cycle or a dead node.
 
@@ -209,7 +90,7 @@ def _extract_lasso(
     index: dict[_Node, int] = {start: 0}
     while True:
         state, symbol = path[-1]
-        edges = facts.edges(state)
+        edges = relation.edges(state)
         if not edges:
             steps = list(zip(path[:-1], labels))
             loop = [(path[-1], retry_label(op, symbol))]
@@ -229,10 +110,10 @@ def _extract_lasso(
 
 
 def _global_stem(
-    result: ExpansionResult, target: CompositeState
+    result: ExpansionResult, relation: EdgeRelation, target: CompositeState
 ) -> list[tuple[CompositeState, str]]:
     """Shortest path of global transitions from the initial cover."""
-    start = essential_home(result.initial, result.essential, result.pruning)
+    start = relation.start
     if start == target:
         return []
     adjacency: dict[CompositeState, list[tuple[str, CompositeState]]] = {}
@@ -242,9 +123,9 @@ def _global_stem(
         out.sort(key=lambda edge: (edge[0], edge[1].pretty()))
     parent: dict[CompositeState, tuple[CompositeState, str]] = {}
     seen = {start}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         for label, succ in adjacency.get(state, ()):
             if succ in seen:
                 continue
@@ -284,13 +165,18 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
             reason="expansion stopped at the first error (stop_on_error)",
         )
 
+    relation = result.relation
+    assert relation is not None, "complete expansions carry an edge relation"
     coll = _active_collector()
     span = None
     if coll is not None:
-        span = coll.span("liveness.check", protocol=result.spec.name)
+        span = coll.span(
+            "liveness.check",
+            protocol=result.spec.name,
+            provider=relation.provider,
+        )
         span.__enter__()
     try:
-        facts = _Facts(result)
         ordered_states = sorted(result.essential, key=lambda s: s.pretty())
         pending = 0
         explored: set[_Node] = set()
@@ -303,23 +189,25 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
                     {label.symbol for label, _rep in state.classes}
                 )
                 for symbol in symbols:
-                    can_stall, _can_serve = facts.request(state, symbol, op)
+                    can_stall, _can_serve = relation.request(state, symbol, op)
                     if not can_stall:
                         continue
                     pending += 1
                     if (op, symbol) in claimed:
                         continue
-                    resolvable, seen = _resolvable(facts, (state, symbol), op)
+                    resolvable, seen = _resolvable(
+                        relation, (state, symbol), op
+                    )
                     explored |= seen
                     if resolvable:
                         continue
                     claimed.add((op, symbol))
                     kind, prefix, loop = _extract_lasso(
-                        facts, (state, symbol), op
+                        relation, (state, symbol), op
                     )
                     stem = [
                         LassoStep(s, None, label)
-                        for s, label in _global_stem(result, state)
+                        for s, label in _global_stem(result, relation, state)
                     ]
                     stem.extend(
                         LassoStep(s, q, label)
@@ -363,6 +251,7 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
         if coll is not None:
             coll.count("liveness.pending", pending)
             coll.count("liveness.nodes", len(explored))
+            coll.count("liveness.edges", relation.edge_count)
             coll.count("liveness.violations", len(violations))
             assert span is not None
             span.set(live=report.live, pending=pending)

@@ -15,7 +15,7 @@ every pinned/emitted lasso through this function.
 
 from __future__ import annotations
 
-from ..core.essential import ExpansionResult, essential_home
+from ..core.essential import ExpansionResult, HomeIndex
 from ..core.expansion import SymbolicExpander
 from .model import LassoStep, LassoWitness
 
@@ -24,7 +24,7 @@ __all__ = ["replay_lasso"]
 
 def _progress_edge(
     expander: SymbolicExpander,
-    result: ExpansionResult,
+    homes: HomeIndex,
     step: LassoStep,
     next_state,
     next_cache: str | None,
@@ -34,7 +34,7 @@ def _progress_edge(
         if str(event.label) != step.label or event.outcome.stalled:
             continue
         for target in event.targets:
-            home = essential_home(target, result.essential, result.pruning)
+            home = homes(target)
             if home != next_state:
                 continue
             if step.cache is not None and next_cache is not None:
@@ -61,6 +61,7 @@ def replay_lasso(
     if not lasso.loop:
         return False, "lasso has an empty loop"
     expander = SymbolicExpander(result.spec, augmented=result.augmented)
+    homes = HomeIndex(result.essential, result.pruning)
     spec = result.spec
 
     # Stem and loop edges, the loop's last edge wrapping to its head.
@@ -82,7 +83,7 @@ def replay_lasso(
                     "non-stalled transition",
                 )
             continue
-        error = _progress_edge(expander, result, step, next_state, next_cache)
+        error = _progress_edge(expander, homes, step, next_state, next_cache)
         if error is not None:
             return False, error
 

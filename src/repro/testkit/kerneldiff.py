@@ -7,7 +7,7 @@ interpreter -- same verdicts, same violation kinds, same essential
 composite-state set, same concrete state space.  This module is the
 harness that enforces the promise, the same way
 :mod:`repro.testkit.irdiff` pits the IR round-trip against the
-verifier.  Two claim families, each a finding when violated:
+verifier.  Three claim families, each a finding when violated:
 
 ``explore``
     The kernel's Figure 3 expansion must produce the same verdict, the
@@ -20,10 +20,14 @@ verifier.  Two claim families, each a finding when violated:
     under both equivalences.
 
 ``liveness``
-    The starvation analysis (:mod:`repro.liveness`) is a pure function
-    of the expansion graph, so running it over the kernel's result and
-    the interpreter's result must produce byte-identical verdict
-    documents -- same violations, same lassos, same signatures.
+    The two backends supply the liveness pass with independently
+    computed edge relations (:mod:`repro.core.relation`): the
+    interpreter re-derives every reaction, the kernel reads its
+    successor memo.  Both relations must hold the same progress edges
+    and stall/serve cells on every essential state, and the starvation
+    analysis (:mod:`repro.liveness`) run over each must produce
+    byte-identical verdict documents -- same violations, same lassos,
+    same signatures.
 
 Specifications the kernel cannot lower, and runs a budget guard cuts
 short on either side, degrade to *skipped* -- an inconclusive
@@ -76,6 +80,8 @@ class KernelDiffReport:
     essential: int
     #: Why the comparison was inconclusive (``None`` when it ran).
     skipped: str | None = None
+    #: The interpreter's liveness verdict (``None`` when unchecked).
+    live: bool | None = None
 
     @property
     def ok(self) -> bool:
@@ -125,20 +131,54 @@ def _explore_findings(name, base, kern):
         )
 
 
+def _relation_rows(result):
+    """Every essential state's relation facts, keyed by rendering."""
+    relation = result.relation
+    rows = {}
+    for state in result.essential:
+        edges, stalls, serves = relation.facts(state)
+        rows[state.pretty()] = (
+            [(e.label, e.target.pretty(), e.moves) for e in edges],
+            sorted((symbol, op.value) for symbol, op in stalls),
+            sorted((symbol, op.value) for symbol, op in serves),
+        )
+    return rows
+
+
 def _liveness_findings(name, base, kern):
+    """Relation and verdict-document parity; returns ``(findings, live)``."""
     import json
 
     from ..liveness import analyze_liveness
 
-    base_doc = json.dumps(analyze_liveness(base).to_dict(), sort_keys=True)
+    findings = []
+    base_rows, kern_rows = _relation_rows(base), _relation_rows(kern)
+    differing = sorted(
+        state for state in base_rows if base_rows[state] != kern_rows.get(state)
+    )
+    if differing:
+        findings.append(
+            KernelDiffFinding(
+                "liveness",
+                name,
+                f"edge relations differ on {len(differing)} essential states "
+                f"({base.relation.provider} vs {kern.relation.provider}), "
+                f"first {differing[0]}",
+            )
+        )
+    base_report = analyze_liveness(base)
+    base_doc = json.dumps(base_report.to_dict(), sort_keys=True)
     kern_doc = json.dumps(analyze_liveness(kern).to_dict(), sort_keys=True)
     if base_doc != kern_doc:
-        yield KernelDiffFinding(
-            "liveness",
-            name,
-            "liveness documents differ between interpreter and kernel "
-            "expansions",
+        findings.append(
+            KernelDiffFinding(
+                "liveness",
+                name,
+                "liveness documents differ between interpreter and kernel "
+                "expansions",
+            )
         )
+    return findings, base_report.live
 
 
 def _enumerate_findings(name, n, equivalence, base, kern):
@@ -195,7 +235,8 @@ def kernel_diff_spec(
             spec=name, findings=(), essential=0, skipped="budget exhausted"
         )
     findings.extend(_explore_findings(name, base, kern))
-    findings.extend(_liveness_findings(name, base, kern))
+    live_findings, live = _liveness_findings(name, base, kern)
+    findings.extend(live_findings)
 
     for n in ns:
         for equivalence in (Equivalence.STRICT, Equivalence.COUNTING):
@@ -207,11 +248,15 @@ def kernel_diff_spec(
                     findings=tuple(findings),
                     essential=len(base.essential),
                     skipped="budget exhausted",
+                    live=live,
                 )
             findings.extend(_enumerate_findings(name, n, equivalence, eb, ek))
 
     return KernelDiffReport(
-        spec=name, findings=tuple(findings), essential=len(base.essential)
+        spec=name,
+        findings=tuple(findings),
+        essential=len(base.essential),
+        live=live,
     )
 
 
@@ -223,17 +268,21 @@ def kernel_diff_all(
 ) -> list[KernelDiffReport]:
     """Run the gate over the whole shipped zoo (registry + DSL specs).
 
-    ``mutants=True`` additionally covers every injected-bug variant --
-    the kernel must reproduce the interpreter's *violations*, not just
-    its clean verdicts.
+    ``mutants=True`` additionally covers every injected-bug variant of
+    both catalogs -- the kernel must reproduce the interpreter's safety
+    *violations* and its starvation lassos, not just its clean verdicts.
     """
     from ..protocols.dsl import builtin_spec_names, load_builtin
-    from ..protocols.mutations import mutants_for
+    from ..protocols.mutations import liveness_mutants_for, mutants_for
     from ..protocols.registry import all_protocols
 
     specs: list[ProtocolSpec] = list(all_protocols())
     if mutants:
-        specs.extend(m for spec in list(specs) for m in mutants_for(spec))
+        specs.extend(
+            m
+            for spec in list(specs)
+            for m in mutants_for(spec) + liveness_mutants_for(spec)
+        )
     specs.extend(load_builtin(name) for name in builtin_spec_names())
     return [kernel_diff_spec(spec, augmented=augmented, ns=ns) for spec in specs]
 
@@ -251,12 +300,23 @@ def kernel_diff_corpus(
 
 
 def kernel_diff_generated(
-    count: int = 10, *, seed: int = 0, ns: tuple[int, ...] = (1, 2)
+    count: int = 10,
+    *,
+    seed: int = 0,
+    ns: tuple[int, ...] = (1, 2),
+    p_stall: float = 0.0,
 ) -> list[KernelDiffReport]:
-    """Run the gate over freshly generated well-formed specifications."""
-    from .generate import SpecGenerator
+    """Run the gate over freshly generated well-formed specifications.
 
-    generator = SpecGenerator(seed=seed)
+    ``p_stall`` is the generator's stall density (default 0.0, the
+    unchanged default draw stream); a positive value draws protocols
+    that stall, so the liveness relations and lassos get compared too.
+    """
+    from .generate import GeneratorConfig, SpecGenerator
+
+    generator = SpecGenerator(
+        seed=seed, config=GeneratorConfig(p_stall=p_stall)
+    )
     reports = []
     for _ in range(count):
         _, spec = generator.draw_checked()
