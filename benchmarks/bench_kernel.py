@@ -9,8 +9,8 @@ exhaustive enumeration at large ``n`` -- and records kernel-tagged
 is auditable across PRs (same ``bench``/``protocol``/``n`` key,
 different ``backend``).
 
-Parity is asserted inline (the full gate lives in
-:mod:`repro.testkit.kerneldiff`): identical essential sets, identical
+Parity is asserted inline (the full gate is the ``kernel`` check of
+:mod:`repro.testkit.gates`): identical essential sets, identical
 unique-state counts, identical visit counts.  The headline target is a
 >= 10x speedup on strict enumeration at n=7 over the recorded
 interpreter baseline.

@@ -17,7 +17,8 @@ through :meth:`~repro.core.expansion.SymbolicExpander.reaction_events`
 facts from the successor memo its expansion already filled
 (:mod:`repro.kernel.essential`).  Each explorer attaches its provider to
 a complete :class:`~repro.core.essential.ExpansionResult`; the
-differential gate ``kerneldiff`` compares the two state by state.
+``kernel`` check of :mod:`repro.testkit.gates` compares the two state
+by state.
 
 Edges are sorted by ``(label, target rendering, moves)`` so the graph
 pass never sees a provider's discovery order.

@@ -243,7 +243,8 @@ def verify(
     if mode != "safety":
         # Imported lazily: the liveness pass lives above the core
         # package.  It walks the edge relation the backend attached to
-        # the result; kerneldiff holds the two providers to parity.
+        # the result; the kernel gate check holds the two providers
+        # to parity.
         from ..liveness import analyze_liveness
 
         result.liveness = analyze_liveness(result)

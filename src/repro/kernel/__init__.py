@@ -24,7 +24,7 @@ packed integer form once and then explores on plain ``int`` tuples:
 :func:`explore` and :func:`enumerate_space` mirror the interpreter's
 control flow step for step, so verdicts, violation kinds, witness
 shapes, essential-state sets and visit counts are identical -- the
-testkit's :mod:`~repro.testkit.kerneldiff` gate enforces exactly that.
+``kernel`` check of :mod:`repro.testkit.gates` enforces exactly that.
 The only documented divergence is ``stats.scenarios`` on warm runs:
 successor memoization means a re-verified protocol does not re-evaluate
 scenario case-splits (the batch engine keys its cache by backend, so

@@ -50,11 +50,11 @@ class CampaignConfig:
     augmented: bool = True
     #: Verification mode for the symbolic side (``"safety"``,
     #: ``"liveness"`` or ``"both"``): liveness modes additionally run
-    #: the starvation analysis on every generated spec, check the
-    #: static/dynamic agreement (a spec with no statically reachable
-    #: stall must be dynamically live) and re-execute every emitted
-    #: lasso through the reaction semantics; a broken invariant is a
-    #: campaign finding.
+    #: the ``liveness`` gate check (:mod:`repro.testkit.gates`, over
+    #: the augmented expansion) on every generated spec -- lassos
+    #: re-execute, a spec with no statically reachable stall is
+    #: dynamically live, and so on; a broken invariant is a campaign
+    #: finding.
     mode: str = "safety"
     #: Worker processes for the symbolic batch (1 = serial in-process).
     workers: int = 1
@@ -162,76 +162,33 @@ def _spec_record(
 def _liveness_findings(
     spec: Any, name: str, digest: str, config: CampaignConfig
 ) -> tuple[bool | None, list[dict[str, Any]]]:
-    """Liveness verdict plus any broken harness invariants for *spec*.
+    """Liveness verdict plus any broken liveness invariant for *spec*.
 
-    Re-runs verification in-process (generated specs are tiny) so the
-    lassos exist as objects, then checks:
-
-    * every emitted lasso re-executes through the reaction semantics
-      (``liveness-lasso-replay`` finding otherwise);
-    * a spec with no statically reachable stall is dynamically live
-      (``liveness-static-contradiction`` otherwise) -- the sound
-      direction of the PL008 static approximation, see docs/LIVENESS.md.
+    Runs the ``liveness`` check of :mod:`repro.testkit.gates`
+    in-process (generated specs are tiny) so the lassos exist as
+    objects; each gate finding kind ``k`` becomes a ``liveness-k``
+    campaign finding.  An analysis that could not run yields no verdict.
     """
-    from ..core.verifier import verify
-    from ..liveness import replay_lasso
+    from .gates import _Subject, gate
 
-    report = verify(
-        spec,
-        augmented=config.augmented,
-        max_visits=config.budget.symbolic_visits,
-        validate_spec=False,
-        mode="liveness",
-    )
-    liveness = report.result.liveness
-    assert liveness is not None
-    if not liveness.checked:
+    subject = _Subject(spec, max_visits=config.budget.symbolic_visits)
+    [report] = gate([subject], ("liveness",))
+    if report.skipped is not None:
         return None, []
-    findings: list[dict[str, Any]] = []
-
-    def _finding(kind: str, detail: str) -> dict[str, Any]:
-        return {
+    findings = [
+        {
             "name": name,
-            "kind": kind,
-            "detail": detail,
+            "kind": f"liveness-{finding.kind}",
+            "detail": finding.detail,
             "n": None,
             "digest": digest,
             "minimized_digest": digest,
             "shrink_steps": 0,
             "shrink_attempts": 0,
         }
-
-    for lasso in liveness.lassos:
-        ok, reason = replay_lasso(report.result, lasso)
-        if not ok:
-            findings.append(
-                _finding(
-                    "liveness-lasso-replay",
-                    f"{lasso.signature}: {reason}",
-                )
-            )
-    if not liveness.live and not _static_can_stall(spec):
-        findings.append(
-            _finding(
-                "liveness-static-contradiction",
-                "no statically reachable stall, yet "
-                f"{len(liveness.violations)} starvable requests",
-            )
-        )
-    return liveness.live, findings
-
-
-def _static_can_stall(spec: Any) -> bool:
-    """Whether the flow analysis reaches any stalling transition."""
-    from ..ir import lower
-    from ..lint.flow import FlowAnalysis
-
-    try:
-        program = lower(spec)
-    except Exception:  # pragma: no cover - non-lowerable ad-hoc spec
-        return True  # cannot prove stall-freedom: no contradiction
-    flow = FlowAnalysis(program)
-    return bool(flow.stalls)
+        for finding in report.findings
+    ]
+    return report.live, findings
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:

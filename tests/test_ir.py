@@ -19,7 +19,6 @@ import pytest
 from repro.cli import main
 from repro.ir import (
     IRError,
-    IRGuard,
     ProtocolIR,
     canonical_json,
     lower,
@@ -28,9 +27,16 @@ from repro.ir import (
 )
 from repro.protocols.dsl import builtin_spec_names, load_builtin, load_protocol
 from repro.protocols.registry import get_protocol, protocol_names
-from repro.testkit.irdiff import diff_spec
+from repro.testkit.gates import gate
 
 CORPUS = sorted(Path("tests/corpus").glob("*.proto"))
+
+
+def _roundtrip(spec):
+    """The gate's `ir` check: round trip, serialization and flow."""
+    [report] = gate([spec], ("ir",))
+    assert report.skipped is None, report.describe()
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -38,19 +44,19 @@ CORPUS = sorted(Path("tests/corpus").glob("*.proto"))
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", protocol_names())
 def test_registry_protocol_roundtrips(name):
-    report = diff_spec(get_protocol(name))
+    report = _roundtrip(get_protocol(name))
     assert report.ok, report.describe()
 
 
 @pytest.mark.parametrize("name", builtin_spec_names())
 def test_builtin_dsl_spec_roundtrips(name):
-    report = diff_spec(load_builtin(name))
+    report = _roundtrip(load_builtin(name))
     assert report.ok, report.describe()
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_entry_roundtrips(path):
-    report = diff_spec(load_protocol(path))
+    report = _roundtrip(load_protocol(path))
     assert report.ok, report.describe()
 
 

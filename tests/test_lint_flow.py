@@ -25,7 +25,7 @@ from repro.lint.context import LintContext
 from repro.lint.flow import FlowAnalysis, _merge
 from repro.lint.rules import syntactic_stall_findings
 from repro.protocols.dsl import builtin_spec_names, load_builtin, parse_protocol
-from repro.protocols.registry import all_protocols, get_protocol
+from repro.protocols.registry import all_protocols
 from tests.helpers import generated_specs
 
 CORPUS = sorted(Path("tests/corpus").glob("*.proto"))
@@ -125,15 +125,12 @@ def test_generated_specs_fixpoint_invariants(drawn):
 @given(generated_specs())
 @settings(max_examples=10)
 def test_generated_specs_flow_never_contradicts_verifier(drawn):
-    from repro.core.essential import ExpansionLimitError
-    from repro.testkit.irdiff import diff_spec
+    from repro.testkit.gates import _Subject, gate
 
     _model, spec = drawn
-    try:
-        report = diff_spec(spec, max_visits=40_000)
-    except ExpansionLimitError:
-        # Too large to expand within the test budget; draw another.
-        assume(False)
+    [report] = gate([_Subject(spec, max_visits=40_000)], ("ir",))
+    # Too large to expand within the test budget: draw another.
+    assume(not report.skipped)
     assert report.ok, report.describe()
 
 

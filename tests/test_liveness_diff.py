@@ -1,11 +1,12 @@
-"""The liveness differential gate (`repro.testkit.livediff`).
+"""The liveness invariants of the differential gate (`repro.testkit.gates`).
 
 Two halves:
 
-* the harness itself -- the zoo, the starvation mutants, the pinned
+* the gate itself -- the zoo, the starvation mutants, the pinned
   corpus and generated stalling specifications all keep every
   invariant (lassos replay, no static contradiction, witnesses pair
-  up, analysis deterministic, seeded starvers caught);
+  up, analysis deterministic, seeded starvers caught), and the zoo and
+  starvers keep kernel parity over the same shared expansions;
 * property tests -- hypothesis drives the generator across seeds and
   stall densities, re-executing every lasso through the reaction
   semantics, so the invariants hold on protocols nobody wrote.
@@ -20,44 +21,45 @@ from repro.core.essential import explore
 from repro.core.verifier import verify
 from repro.liveness import analyze_liveness, replay_lasso
 from repro.protocols.registry import get_protocol
-from repro.testkit import (
-    GeneratorConfig,
-    SpecGenerator,
-    live_diff_all,
-    live_diff_corpus,
-    live_diff_generated,
-    live_diff_spec,
-)
-from repro.testkit.livediff import LiveDiffFinding, LiveDiffReport
+from repro.testkit import GeneratorConfig, SpecGenerator
+from repro.testkit.gates import Finding, GateReport, _Subject, gate, subjects
+
+
+def _bad(reports):
+    return "\n".join(r.describe() for r in reports if not r.ok)
 
 
 # ----------------------------------------------------------------------
-# The harness over the shipped surface
+# The gate over the shipped surface
 # ----------------------------------------------------------------------
 def test_zoo_and_starvation_mutants_keep_every_invariant():
-    reports = live_diff_all(mutants=True)
-    bad = [r for r in reports if not r.ok]
-    assert not bad, "\n".join(r.describe() for r in bad)
-    # The mutant half must actually have exercised NOT-LIVE verdicts.
-    assert sum(1 for r in reports if r.live is False) >= 10
+    # One gate run: each spec is expanded once per backend, and both
+    # the kernel parity and the liveness invariants read that work.
+    zoo = list(subjects("zoo"))
+    reports = gate([*zoo, *subjects("starvers")], ("kernel", "liveness"))
+    assert all(r.ok for r in reports), _bad(reports)
+    assert not any(r.skipped for r in reports)
+    assert all(r.live for r in reports[: len(zoo)])
+    starvers = reports[len(zoo) :]
+    # Every seeded starver is caught, with a witnessed NOT LIVE verdict.
+    assert len(starvers) >= 10 and all(r.live is False for r in starvers)
 
 
 def test_corpus_keeps_every_invariant():
-    reports = live_diff_corpus()
-    bad = [r for r in reports if not r.ok]
-    assert not bad, "\n".join(r.describe() for r in bad)
+    reports = gate(subjects("corpus"), ("liveness",))
+    assert all(r.ok for r in reports), _bad(reports)
     # The three pinned liveness entries are checked as expect_not_live.
     assert sum(1 for r in reports if r.live is False) >= 3
 
 
 def test_generated_stalling_specs_keep_every_invariant():
-    reports = live_diff_generated(count=8, seed=4)
-    bad = [r for r in reports if not r.ok]
-    assert not bad, "\n".join(r.describe() for r in bad)
+    reports = gate(subjects("stalling", 8, seed=4), ("liveness",))
+    assert all(r.ok for r in reports), _bad(reports)
 
 
 def test_expect_not_live_flags_a_live_spec():
-    report = live_diff_spec(get_protocol("msi"), expect_not_live=True)
+    subject = _Subject(get_protocol("msi"), expect_not_live=True)
+    [report] = gate([subject], ("liveness",))
     assert not report.ok
     assert [f.kind for f in report.findings] == ["mutant-live"]
 
@@ -72,22 +74,21 @@ def test_skipped_comparisons_are_ok():
     assert result.partial
     assert not analyze_liveness(result).checked
     # A blown visit budget degrades to skipped, never to findings.
-    report = live_diff_spec(spec, max_visits=3)
+    [report] = gate([_Subject(spec, max_visits=3)], ("liveness",))
     assert report.ok and report.skipped is not None
 
 
 def test_describe_renders_verdict_and_findings():
-    ok = live_diff_spec(get_protocol("msi"))
+    [ok] = gate([get_protocol("msi")], ("liveness",))
     assert "live" in ok.describe()
-    report = LiveDiffReport(
+    report = GateReport(
         spec="x",
-        findings=(LiveDiffFinding("lasso-replay", "x", "boom"),),
+        findings=(Finding("liveness", "lasso-replay", "x", "boom"),),
         live=False,
-        static_can_stall=True,
     )
     text = report.describe()
-    assert "NOT LIVE" in text and "[lasso-replay] x: boom" in text
-    skipped = LiveDiffReport(spec="x", findings=(), skipped="unchecked")
+    assert "NOT LIVE" in text and "[liveness/lasso-replay] x: boom" in text
+    skipped = GateReport(spec="x", findings=(), skipped="liveness: unchecked")
     assert "skipped" in skipped.describe()
 
 
@@ -149,6 +150,5 @@ def test_property_analysis_is_a_pure_function(seed, p_stall):
 @given(seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=5)
 def test_property_generated_specs_pass_the_full_gate(seed):
-    reports = live_diff_generated(count=2, seed=seed, p_stall=0.5)
-    bad = [r for r in reports if not r.ok]
-    assert not bad, "\n".join(r.describe() for r in bad)
+    reports = gate(subjects("stalling", 2, seed=seed), ("liveness",))
+    assert all(r.ok for r in reports), _bad(reports)

@@ -7,8 +7,9 @@
   calls (exact counts, so the gate cannot flake);
 * both providers feed the graph pass the same work, visible in the
   `liveness.*` counters and tagged on the `liveness.check` span;
-* `kerneldiff` pits the providers against each other on stalling
-  generated specs and every starvation mutant.
+* the kernel gate check pits the providers against each other on
+  stalling generated specs (the starvation mutants run through the
+  same check in `test_liveness_diff.py`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.protocols.dsl import builtin_spec_names, load_builtin
 from repro.protocols.mutations import liveness_mutants_for, mutants_for
 from repro.protocols.registry import all_protocols, get_protocol
 from repro.testkit import GeneratorConfig, SpecGenerator
-from repro.testkit.kerneldiff import kernel_diff_generated, kernel_diff_spec
+from repro.testkit.gates import gate, subjects
 
 
 def _zoo():
@@ -138,16 +139,13 @@ def test_liveness_counters_are_backend_independent(which):
     assert interp_counts["violations"] == len(interp.liveness.violations)
 
 
-def test_kerneldiff_stalling_specs_and_starvation_mutants():
+def test_kernel_gate_on_stalling_specs():
     reports = [
         report
         for seed in (3, 4, 7)
-        for report in kernel_diff_generated(3, seed=seed, ns=(), p_stall=0.5)
+        for report in gate(subjects("stalling", 3, seed=seed), ("kernel",))
     ]
-    reports += [kernel_diff_spec(m, ns=()) for m in _liveness_mutants()]
     bad = [r for r in reports if not r.ok]
     assert not bad, "\n".join(r.describe() for r in bad)
     assert not any(r.skipped for r in reports)
-    generated_not_live = sum(1 for r in reports[:9] if r.live is False)
-    assert generated_not_live >= 1
-    assert all(r.live is False for r in reports[9:])
+    assert sum(1 for r in reports if r.live is False) >= 1
